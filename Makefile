@@ -9,7 +9,7 @@ help:
 	@echo "mdf targets:"
 	@echo "  build             compile everything"
 	@echo "  test              go test ./..."
-	@echo "  vet               go vet ./..."
+	@echo "  vet               go vet ./... (repository and hostbench/)"
 	@echo "  lint              mdflint: determinism, unit and concurrency rules (exits nonzero on findings)"
 	@echo "  specvet           mdfplan: canonical-form + plan-verifier gate on every committed spec"
 	@echo "  race              full test suite under the race detector"
@@ -27,8 +27,11 @@ help:
 build:
 	$(GO) build ./...
 
+# vet also vets the host-time benchmark (hostbench/, its own module), so a
+# change to an API it imports fails here rather than in the benchmark.
 vet:
 	$(GO) vet ./...
+	GOFLAGS= GOPROXY=off $(GO) -C hostbench vet ./...
 
 # lint runs mdflint, the repo's determinism, unit-discipline and
 # concurrency-safety static analyzer (see ARCHITECTURE.md "Determinism

@@ -7,6 +7,7 @@
 //	mdfbench -exp all            # everything (slow)
 //	mdfbench -exp fig9 -quick    # reduced sweep for a fast look
 //	mdfbench -exp fig9 -csv      # machine-readable output
+//	mdfbench -exp fig7 -cpuprofile cpu.out -memprofile mem.out  # host-time profiles
 package main
 
 import (
@@ -20,10 +21,14 @@ import (
 	"syscall"
 	"time"
 
+	"metadataflow/cmd/internal/prof"
 	"metadataflow/internal/experiments"
 )
 
-func main() {
+func main() { os.Exit(bench()) }
+
+// bench runs the selected experiments and returns the exit status.
+func bench() int {
 	var (
 		exp   = flag.String("exp", "", "experiment id (table1, fig5..fig18) or 'all'")
 		quick = flag.Bool("quick", false, "reduced workloads and sweeps")
@@ -33,8 +38,15 @@ func main() {
 		jsonF = flag.Bool("json", false, "write each experiment's data as BENCH_<exp>.json (schema-stable, with seeds and min/avg/max per cell)")
 		out   = flag.String("out", "", "also write each experiment's CSV into this directory")
 		list  = flag.Bool("list", false, "list available experiments")
+		pf    = prof.Register()
 	)
 	flag.Parse()
+	stopProf, err := pf.Start()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mdfbench: %v\n", err)
+		return 2
+	}
+	defer stopProf()
 
 	if *list || *exp == "" {
 		fmt.Println("available experiments:")
@@ -42,14 +54,14 @@ func main() {
 			fmt.Printf("  %-8s %s\n", e.ID, e.Description)
 		}
 		if *exp == "" && !*list {
-			os.Exit(2)
+			return 2
 		}
-		return
+		return 0
 	}
 
 	if *seeds < 1 {
 		fmt.Fprintf(os.Stderr, "mdfbench: -seeds must be at least 1 (got %d)\n", *seeds)
-		os.Exit(2)
+		return 2
 	}
 
 	// SIGINT/SIGTERM cancel the sweep between seeded runs: experiments that
@@ -65,15 +77,15 @@ func main() {
 	} else {
 		e, err := experiments.ByID(*exp)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mdfbench: %v\nusage: mdfbench -exp <id> [-quick] [-seeds n] [-csv|-markdown] [-out dir]\nrun 'mdfbench -list' for the available experiment ids\n", err)
-			os.Exit(2)
+			fmt.Fprintf(os.Stderr, "mdfbench: %v\nusage: mdfbench -exp <id> [-quick] [-seeds n] [-csv|-markdown] [-out dir] [-cpuprofile file] [-memprofile file]\nrun 'mdfbench -list' for the available experiment ids\n", err)
+			return 2
 		}
 		selected = []experiments.Experiment{e}
 	}
 	if *out != "" {
 		if err := os.MkdirAll(*out, 0o755); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 	}
 	for _, e := range selected {
@@ -82,15 +94,15 @@ func main() {
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, err)
 			if errors.Is(err, experiments.ErrInterrupted) {
-				os.Exit(130)
+				return 130
 			}
-			os.Exit(1)
+			return 1
 		}
 		if *out != "" {
 			path := filepath.Join(*out, e.ID+".csv")
 			if err := os.WriteFile(path, []byte(tab.CSV()), 0o644); err != nil {
 				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return 1
 			}
 		}
 		if *jsonF {
@@ -99,7 +111,7 @@ func main() {
 			data, err := tab.JSON(opts.SeedList())
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, err)
-				os.Exit(1)
+				return 1
 			}
 			path := fmt.Sprintf("BENCH_%s.json", e.ID)
 			if *out != "" {
@@ -107,7 +119,7 @@ func main() {
 			}
 			if err := os.WriteFile(path, data, 0o644); err != nil {
 				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return 1
 			}
 			fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 		}
@@ -121,4 +133,5 @@ func main() {
 			fmt.Printf("(regenerated in %.1fs wall time)\n\n", time.Since(start).Seconds())
 		}
 	}
+	return 0
 }

@@ -17,6 +17,7 @@
 //	mdfchaos -trials 200 -seed 7 -oracle accounting,lineage
 //	mdfchaos -replay chaos-repro.json
 //	mdfchaos -crash -trials 50 -seed 1 -state-root /tmp/mdfcrash
+//	mdfchaos -trials 50 -seed 1 -cpuprofile cpu.out -memprofile mem.out
 //
 // Exit codes: 0 all trials passed, 1 violations found, 2 bad usage,
 // 3 a replayed repro still violates its oracle.
@@ -27,6 +28,7 @@ import (
 	"fmt"
 	"os"
 
+	"metadataflow/cmd/internal/prof"
 	"metadataflow/internal/chaos"
 )
 
@@ -39,12 +41,22 @@ func main() {
 		reproOut  = flag.String("repro", "chaos-repro.json", "where to write the shrunk repro of the first violation")
 		crash     = flag.Bool("crash", false, "run the crash-restart oracle against a durable service instead of the engine sweep")
 		stateRoot = flag.String("state-root", "", "crash mode: directory for per-trial service state (default a temp dir, removed on success)")
+		pf        = prof.Register()
 	)
 	flag.Parse()
-	if *crash {
-		os.Exit(runCrash(*trials, *seed, *stateRoot))
+	stopProf, err := pf.Start()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mdfchaos: %v\n", err)
+		os.Exit(2)
 	}
-	os.Exit(run(*trials, *seed, *oracle, *replay, *reproOut))
+	var code int
+	if *crash {
+		code = runCrash(*trials, *seed, *stateRoot)
+	} else {
+		code = run(*trials, *seed, *oracle, *replay, *reproOut)
+	}
+	stopProf()
+	os.Exit(code)
 }
 
 // runCrash executes the crash-restart sweep. State directories land under

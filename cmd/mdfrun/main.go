@@ -9,6 +9,7 @@
 //	mdfrun -job synthetic -scheduler bfs -policy lru -workers 12 -mem 4
 //	mdfrun -spec examples/specs/outlier.json
 //	mdfrun -job kde -trace-json trace.json -metrics metrics.json -explain
+//	mdfrun -job timeseries -cpuprofile cpu.out -memprofile mem.out  # host-time profiles
 package main
 
 import (
@@ -21,6 +22,7 @@ import (
 	"strings"
 	"syscall"
 
+	"metadataflow/cmd/internal/prof"
 	"metadataflow/internal/baseline"
 	"metadataflow/internal/chaos"
 	"metadataflow/internal/cluster"
@@ -59,14 +61,22 @@ func main() {
 		speculative = flag.Bool("speculative", false, "enable speculative straggler mitigation")
 		faultSpec   = flag.String("faults", "", "fault plan: inline JSON (starts with '{') or a path to a JSON file; mdf mode only")
 		vetPlan     = flag.Bool("vet", false, "statically verify the -spec plan (internal/plan battery) against this run's cluster shape before executing; findings abort the run")
+		pf          = prof.Register()
 	)
 	flag.Parse()
+	stopProf, err := pf.Start()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mdfrun: %v\n", err)
+		os.Exit(2)
+	}
 	// SIGINT/SIGTERM cancel the run at its next scheduling boundary; the
 	// partial artifacts (-trace-json, -metrics) are still flushed and the
 	// process exits with the conventional interrupt status 130.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, *job, *specPath, *sched, *policy, *incremental, *workers, *memGB, *mode, *seed, *trace, *traceJSON, *metricsOut, *seriesOut, *explain, *spills, *speculative, *faultSpec, *vetPlan); err != nil {
+	err = run(ctx, *job, *specPath, *sched, *policy, *incremental, *workers, *memGB, *mode, *seed, *trace, *traceJSON, *metricsOut, *seriesOut, *explain, *spills, *speculative, *faultSpec, *vetPlan)
+	stopProf()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		if errors.Is(err, errUsage) {
 			fmt.Fprintln(os.Stderr, "run 'mdfrun -h' for the accepted flag values")

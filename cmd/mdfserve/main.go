@@ -26,6 +26,7 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
+	"time"
 
 	"metadataflow/internal/service"
 	"metadataflow/internal/sim"
@@ -82,7 +83,12 @@ func run(addr string, workers int, memMB, quotaMB int64, queueCap, maxActive int
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	// No WriteTimeout: /watch?follow=1 streams for as long as jobs run.
+	httpSrv := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 	fmt.Printf("mdfserve listening on %s\n", ln.Addr())

@@ -1,29 +1,41 @@
-// Package ckptstore is a content-addressed durable checkpoint store.
-// Entries are keyed by the spec chain-prefix hash of the operator that
-// produced the partition (internal/spec) plus the partition index, so
-// the same intermediate result — across retries, restarts, branches, or
-// separate jobs — lands at the same key. That is the on-disk substrate
-// the restart path resumes from and the cross-run memo table (ROADMAP
-// item 3) will sit on.
+// Package ckptstore is the durable checkpoint log. Every checkpoint the
+// engine takes (anticipatory memory management's durable copies) is
+// appended to one file, <dir>/log, as a fixed-size record naming the
+// partition and its shape at checkpoint time:
 //
-// Every entry is checksummed: the file is an 8-byte big-endian FNV-1a
-// digest of the payload followed by the payload. Loads verify the
-// digest and report any damage — torn writes, bit flips, truncation —
-// as a miss, never as data: the engine falls back to lineage
-// re-derivation exactly as it would for an absent checkpoint. Writes
-// are atomic (temp file + rename), so a crash mid-Put leaves either the
-// old entry or none.
+//	chain u64 | part u32 | rows u64 | virtualBytes u64 | crc32 u32
+//
+// all big-endian, the CRC (IEEE) covering the 28 bytes before it. The log
+// holds no row data: the simulation charges checkpoint I/O in virtual
+// time, and crash recovery only needs to know whether a durable copy
+// still verifies. Restart recovery re-executes jobs from the service
+// journal, so no entry is ever read across runs, and rows cannot be
+// restored from the log.
+//
+// Keys are the spec chain-prefix hash of the producing operator plus the
+// partition index (internal/spec). Put returns the record's offset;
+// callers keep the offsets they need for as long as they need them — the
+// engine holds them per run — and Get reads back exactly that record.
+// A short read, CRC mismatch or wrong key is a *MissError, never data:
+// the engine then re-derives the partition by lineage, as it would for
+// an absent checkpoint.
+//
+// Appends are not fsynced: a crash may tear the tail, and Open drops a
+// partial trailing record so the next Put lands on a record boundary.
 package ckptstore
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 
+	"metadataflow/internal/sim"
 	"metadataflow/internal/spec"
 )
 
@@ -34,10 +46,15 @@ type Key struct {
 	Part  int
 }
 
-// filename is the entry's file name: chain hex, partition index.
-func (k Key) filename() string { return fmt.Sprintf("%s-p%04d.ckpt", k.Chain, k.Part) }
-
 func (k Key) String() string { return fmt.Sprintf("%s/p%d", k.Chain, k.Part) }
+
+// Entry is one checkpoint record: the partition and its row count and
+// simulated size when it was checkpointed.
+type Entry struct {
+	Key          Key
+	Rows         int64
+	VirtualBytes sim.Bytes
+}
 
 // MissError reports that an entry could not be loaded — absent or
 // damaged. Callers treat both identically: re-derive from lineage.
@@ -56,121 +73,207 @@ func IsMiss(err error) bool {
 	return errors.As(err, &m)
 }
 
-// checksumLen prefixes every entry file.
-const checksumLen = 8
+// RecordLen is the size of one log record in bytes.
+const RecordLen = 32
 
-// digest is the store's FNV-1a payload checksum.
-func digest(payload []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(payload) // fnv's Write cannot fail
-	return h.Sum64()
+// Record layout: keyLen bytes of key come first, and the CRC sits at
+// crcOff. The injectors flip bits only after the key, so Keys reads the
+// same key set before and after an injected fault.
+const (
+	keyLen  = 12
+	crcOff  = 28
+	logName = "log"
+)
+
+func encode(e Entry) [RecordLen]byte {
+	var b [RecordLen]byte
+	binary.BigEndian.PutUint64(b[0:8], uint64(e.Key.Chain))
+	binary.BigEndian.PutUint32(b[8:12], uint32(e.Key.Part))
+	binary.BigEndian.PutUint64(b[12:20], uint64(e.Rows))
+	binary.BigEndian.PutUint64(b[20:28], uint64(e.VirtualBytes))
+	binary.BigEndian.PutUint32(b[crcOff:], crc32.ChecksumIEEE(b[:crcOff]))
+	return b
 }
 
-// Store is a checkpoint directory. Open creates the directory; Close
-// releases the handle. Safe for the service's single-writer step loop;
-// concurrent readers are fine because writes are atomic renames.
+// keyOf reads a record's key fields without verifying its CRC.
+func keyOf(b []byte) Key {
+	return Key{Chain: spec.Hash(binary.BigEndian.Uint64(b[0:8])), Part: int(binary.BigEndian.Uint32(b[8:12]))}
+}
+
+// decode verifies a record's CRC and returns its entry.
+func decode(b []byte) (Entry, bool) {
+	if crc32.ChecksumIEEE(b[:crcOff]) != binary.BigEndian.Uint32(b[crcOff:]) {
+		return Entry{}, false
+	}
+	return Entry{
+		Key:          keyOf(b),
+		Rows:         int64(binary.BigEndian.Uint64(b[12:20])),
+		VirtualBytes: sim.Bytes(binary.BigEndian.Uint64(b[20:28])),
+	}, true
+}
+
+// Store is one checkpoint log. Put, Get and CorruptEntry are safe for
+// concurrent use between Open and Close.
 type Store struct {
-	dir  string
-	open bool
+	dir string
+
+	mu   sync.Mutex
+	f    *os.File
+	tail int64
 }
 
 // New prepares a store rooted at dir. No I/O happens until Open.
 func New(dir string) *Store { return &Store{dir: dir} }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
+func (s *Store) path() string { return filepath.Join(s.dir, logName) }
 
-// Open creates the store directory if needed.
+// Open creates the directory and log if needed and drops a torn tail
+// shorter than one record, so appends resume on a record boundary.
 func (s *Store) Open() error {
-	if s.open {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.f != nil {
 		return fmt.Errorf("ckptstore: already open")
 	}
 	if err := os.MkdirAll(s.dir, 0o755); err != nil {
 		return err
 	}
-	s.open = true
-	return nil
-}
-
-// Close releases the store. Entries stay on disk.
-func (s *Store) Close() error {
-	s.open = false
-	return nil
-}
-
-// Put durably writes payload at k, replacing any existing entry —
-// including a damaged one, which is how a re-derived partition heals a
-// corrupt checkpoint. The write is atomic: temp file, then rename.
-func (s *Store) Put(k Key, payload []byte) error {
-	if !s.open {
-		return fmt.Errorf("ckptstore: put on closed store")
-	}
-	b := make([]byte, checksumLen+len(payload))
-	binary.BigEndian.PutUint64(b[:checksumLen], digest(payload))
-	copy(b[checksumLen:], payload)
-	final := filepath.Join(s.dir, k.filename())
-	tmp := final + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
+	f, err := os.OpenFile(s.path(), os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, final)
-}
-
-// Get loads and verifies the entry at k. Absent, truncated, or
-// checksum-failing entries return a *MissError; callers re-derive.
-func (s *Store) Get(k Key) ([]byte, error) {
-	b, err := os.ReadFile(filepath.Join(s.dir, k.filename()))
-	if os.IsNotExist(err) {
-		return nil, &MissError{Key: k, Reason: "absent"}
-	}
+	info, err := f.Stat()
 	if err != nil {
-		return nil, &MissError{Key: k, Reason: err.Error()}
+		f.Close()
+		return err
 	}
-	if len(b) < checksumLen {
-		return nil, &MissError{Key: k, Reason: fmt.Sprintf("truncated: %d bytes", len(b))}
+	tail := info.Size() - info.Size()%RecordLen
+	if tail != info.Size() {
+		if err := f.Truncate(tail); err != nil {
+			f.Close()
+			return err
+		}
 	}
-	payload := b[checksumLen:]
-	if got, want := digest(payload), binary.BigEndian.Uint64(b[:checksumLen]); got != want {
-		return nil, &MissError{Key: k, Reason: fmt.Sprintf("checksum mismatch: %016x, want %016x", got, want)}
-	}
-	return payload, nil
+	s.f, s.tail = f, tail
+	return nil
 }
 
-// Has reports whether a verified entry exists at k.
-func (s *Store) Has(k Key) bool {
-	_, err := s.Get(k)
-	return err == nil
+// Close releases the log handle. Records stay on disk.
+func (s *Store) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.f == nil {
+		return nil
+	}
+	err := s.f.Close()
+	s.f = nil
+	return err
 }
 
-// Keys lists every entry key in sorted order (chain hash, then
-// partition), including damaged entries — damage surfaces on Get.
-func (s *Store) Keys() ([]Key, error) {
-	ents, err := os.ReadDir(s.dir)
-	if os.IsNotExist(err) {
-		return nil, nil
+// Put appends e's record at the log's tail and returns its offset. A
+// failed write leaves the tail where it was, so the next Put overwrites
+// whatever part of the record reached the file.
+func (s *Store) Put(e Entry) (int64, error) {
+	rec := encode(e)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.f == nil {
+		return 0, fmt.Errorf("ckptstore: put on closed store")
 	}
+	off := s.tail
+	if _, err := s.f.WriteAt(rec[:], off); err != nil {
+		return 0, err
+	}
+	s.tail += RecordLen
+	return off, nil
+}
+
+// Get reads the record at off and checks that it verifies and belongs to
+// k. A negative offset means the caller holds none for k. Every failure
+// is a *MissError.
+func (s *Store) Get(k Key, off int64) (Entry, error) {
+	var b [RecordLen]byte
+	if reason := s.read(off, b[:]); reason != "" {
+		return Entry{}, &MissError{Key: k, Reason: reason}
+	}
+	e, ok := decode(b[:])
+	if !ok {
+		return Entry{}, &MissError{Key: k, Reason: fmt.Sprintf("checksum mismatch at offset %d", off)}
+	}
+	if e.Key != k {
+		return Entry{}, &MissError{Key: k, Reason: fmt.Sprintf("offset %d holds %s", off, e.Key)}
+	}
+	return e, nil
+}
+
+// read fills b with the record at off, or says why it cannot.
+func (s *Store) read(off int64, b []byte) string {
+	if off < 0 {
+		return "absent"
+	}
+	if off%RecordLen != 0 {
+		return fmt.Sprintf("offset %d is not a record boundary", off)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.f == nil {
+		return "store closed"
+	}
+	if _, err := s.f.ReadAt(b, off); err != nil {
+		return err.Error()
+	}
+	return ""
+}
+
+// CorruptEntry flips one bit in the record at off, after its key — the
+// load-time corruption injector behind faults.CkptFlip. bit is taken
+// modulo the flippable width. A negative offset (no record) is a no-op:
+// the load misses anyway.
+func (s *Store) CorruptEntry(off int64, bit int) error {
+	if bit < 0 {
+		return fmt.Errorf("ckptstore: CorruptEntry bit %d", bit)
+	}
+	if off < 0 {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.f == nil {
+		return fmt.Errorf("ckptstore: corrupt on closed store")
+	}
+	return flipBit(s.f, off, bit)
+}
+
+// flipBit flips bit (modulo the bits past the key) of the record at off.
+func flipBit(f *os.File, off int64, bit int) error {
+	var b [1]byte
+	i := keyLen*8 + bit%((RecordLen-keyLen)*8)
+	at := off + int64(i/8)
+	if _, err := f.ReadAt(b[:], at); err != nil {
+		return err
+	}
+	b[0] ^= 1 << (i % 8)
+	_, err := f.WriteAt(b[:], at)
+	return err
+}
+
+// scan reads every whole record of the log and returns the distinct
+// keys in sorted order (chain hash, then partition) with the offset of
+// each key's newest record. Damaged records are listed too; damage
+// surfaces on Get.
+func scan(f *os.File) ([]Key, map[Key]int64, error) {
+	b, err := io.ReadAll(f)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	newest := make(map[Key]int64)
 	var keys []Key
-	for _, e := range ents {
-		if e.IsDir() {
-			continue
+	for off := 0; off+RecordLen <= len(b); off += RecordLen {
+		k := keyOf(b[off : off+RecordLen])
+		if _, seen := newest[k]; !seen {
+			keys = append(keys, k)
 		}
-		var hex string
-		var part int
-		if _, err := fmt.Sscanf(e.Name(), "%16s-p%04d.ckpt", &hex, &part); err != nil {
-			continue
-		}
-		var h spec.Hash
-		if err := h.UnmarshalJSON([]byte(`"` + hex + `"`)); err != nil {
-			continue
-		}
-		k := Key{Chain: h, Part: part}
-		if k.filename() != e.Name() { // leftover temp files and strays
-			continue
-		}
-		keys = append(keys, k)
+		newest[k] = int64(off)
 	}
 	sort.Slice(keys, func(i, j int) bool {
 		if keys[i].Chain != keys[j].Chain {
@@ -178,56 +281,43 @@ func (s *Store) Keys() ([]Key, error) {
 		}
 		return keys[i].Part < keys[j].Part
 	})
-	return keys, nil
+	return keys, newest, nil
 }
 
-// CorruptEntry flips one bit inside the payload of the entry at k — the
-// load-time corruption injector behind faults.CkptFlip. bit is taken
-// modulo the payload's bit width. Corrupting an absent entry is a no-op:
-// the load will miss anyway.
-func (s *Store) CorruptEntry(k Key, bit int) error {
-	if bit < 0 {
-		return fmt.Errorf("ckptstore: CorruptEntry bit %d", bit)
-	}
-	path := filepath.Join(s.dir, k.filename())
-	b, err := os.ReadFile(path)
+// Keys lists the distinct keys recorded in the log, sorted. It reads the
+// file directly and works whether or not the store is open.
+func (s *Store) Keys() ([]Key, error) {
+	f, err := os.Open(s.path())
 	if os.IsNotExist(err) {
-		return nil
+		return nil, nil
 	}
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	keys, _, err := scan(f)
+	return keys, err
+}
+
+// CorruptNth flips one bit in the newest record of the idx-th key in
+// Keys() order — the on-disk corruption injector of the crash-restart
+// oracle. bit is taken modulo the bits past the key. Like Keys it works
+// on a closed store.
+func (s *Store) CorruptNth(idx, bit int) error {
+	if bit < 0 {
+		return fmt.Errorf("ckptstore: CorruptNth bit %d", bit)
+	}
+	f, err := os.OpenFile(s.path(), os.O_RDWR, 0)
 	if err != nil {
 		return err
 	}
-	if len(b) <= checksumLen {
-		return nil // already unreadable
-	}
-	i := checksumLen*8 + bit%((len(b)-checksumLen)*8)
-	b[i/8] ^= 1 << (i % 8)
-	return os.WriteFile(path, b, 0o644)
-}
-
-// CorruptNth flips one bit inside the payload of the idx-th entry in
-// Keys() order — the bit-flip fault injector for the crash-restart
-// oracle. bit is taken modulo the payload's bit width.
-func (s *Store) CorruptNth(idx, bit int) error {
-	keys, err := s.Keys()
+	defer f.Close()
+	keys, newest, err := scan(f)
 	if err != nil {
 		return err
 	}
 	if idx < 0 || idx >= len(keys) {
 		return fmt.Errorf("ckptstore: CorruptNth %d of %d entries", idx, len(keys))
 	}
-	if bit < 0 {
-		return fmt.Errorf("ckptstore: CorruptNth bit %d", bit)
-	}
-	path := filepath.Join(s.dir, keys[idx].filename())
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	if len(b) <= checksumLen {
-		return fmt.Errorf("ckptstore: entry %s too short to corrupt", keys[idx])
-	}
-	k := checksumLen*8 + bit%((len(b)-checksumLen)*8)
-	b[k/8] ^= 1 << (k % 8)
-	return os.WriteFile(path, b, 0o644)
+	return flipBit(f, newest[keys[idx]], bit)
 }

@@ -1,27 +1,25 @@
 package engine
 
 import (
-	"fmt"
-	"strings"
-
 	"metadataflow/internal/ckptstore"
 	"metadataflow/internal/dataset"
 	"metadataflow/internal/graph"
 	"metadataflow/internal/memorymgr"
 	"metadataflow/internal/obs"
+	"metadataflow/internal/sim"
 	"metadataflow/internal/spec"
 )
 
-// This file mirrors the allocators' durable-copy bookkeeping into a real
-// content-addressed checkpoint store (internal/ckptstore). The simulation
-// keeps modelling checkpoint I/O costs through the allocators; the store
-// adds the bytes themselves, keyed by the spec chain-prefix hash of the
-// producing operator, so checkpoints survive a service restart and are
-// shared across retries and jobs computing the same intermediate.
+// This file mirrors the allocators' durable-copy bookkeeping into the
+// checkpoint log (internal/ckptstore). The simulation models checkpoint
+// I/O costs through the allocators; the log adds one fixed-size record per
+// checkpoint on disk, keyed by the spec chain-prefix hash of the producing
+// operator plus the partition index. The run keeps the offset of each
+// record it wrote and reads back only those, so nothing outlives the run.
 //
 // Verification happens at crash recovery: before trusting a partition's
-// durable copy, the engine loads and checksums its store entry. A miss —
-// absent, torn, or bit-flipped — demotes the copy and the partition is
+// durable copy, the engine reads and checks its record. A miss — never
+// written, torn, or bit-flipped — demotes the copy and the partition is
 // re-derived by lineage, which is the paper's recovery path for
 // un-checkpointed state. Corruption therefore costs recovery time, never
 // correctness.
@@ -37,22 +35,11 @@ func (r *Run) chainOf(st *graph.Stage) (spec.Hash, bool) {
 	return r.opts.CkptChains[last.ID], true
 }
 
-// encodePartition renders a partition's rows as the store payload. The
-// fmt-based encoding is type-agnostic (rows are opaque to the engine) and
-// deterministic for the deterministic row values a fixed spec produces —
-// the same property the chaos harness's output checksums rely on.
-func encodePartition(p *dataset.Partition) []byte {
-	var b strings.Builder
-	for _, row := range p.Rows {
-		fmt.Fprintf(&b, "%v\x1f", row)
-	}
-	return []byte(b.String())
-}
-
-// mirrorCheckpoint writes partition i of stage st's output dataset into
-// the checkpoint store, if a store and a chain mapping exist. Mirror
-// failures are swallowed: the durable copy just will not verify later,
-// which recovery already treats as re-derive.
+// mirrorCheckpoint appends partition i of stage st's output dataset to the
+// checkpoint log, if a store and a chain mapping exist, and remembers the
+// record's offset. A failed append keeps the previous offset, if any: the
+// durable copy then verifies against its older record or misses, which
+// recovery already treats as re-derive.
 func (r *Run) mirrorCheckpoint(st *graph.Stage, d *dataset.Dataset, i int) {
 	if r.opts.Ckpts == nil {
 		return
@@ -61,7 +48,16 @@ func (r *Run) mirrorCheckpoint(st *graph.Stage, d *dataset.Dataset, i int) {
 	if !ok {
 		return
 	}
-	_ = r.opts.Ckpts.Put(ckptstore.Key{Chain: chain, Part: i}, encodePartition(d.Parts[i])) //lint:allow droppederr -- mirror is best-effort; a failed write surfaces as a miss on load
+	k := ckptstore.Key{Chain: chain, Part: i}
+	p := d.Parts[i]
+	off, err := r.opts.Ckpts.Put(ckptstore.Entry{Key: k, Rows: int64(len(p.Rows)), VirtualBytes: sim.Bytes(p.VirtualBytes)})
+	if err != nil {
+		return
+	}
+	if r.ckptOffsets == nil {
+		r.ckptOffsets = make(map[ckptstore.Key]int64)
+	}
+	r.ckptOffsets[k] = off
 }
 
 // stageOfDataset finds the plan stage whose output is the dataset, in
@@ -75,11 +71,46 @@ func (r *Run) stageOfDataset(id dataset.ID) *graph.Stage {
 	return nil
 }
 
-// distrustCorrupt verifies the checkpoint-store entries backing the
-// allocator's surviving durable copies after a crash of node. Copies
-// whose entries are missing or fail their checksum are demoted and
-// returned as lost, joining the lineage re-derivation pass. Checkpoint
-// bit-flip faults (faults.CkptFlip) fire here, counted by load ordinal.
+// storeKey maps a partition to its checkpoint-log key; false when its
+// producing stage has no chain mapping.
+func (r *Run) storeKey(key dataset.PartKey) (ckptstore.Key, bool) {
+	st := r.stageOfDataset(key.Dataset)
+	if st == nil {
+		return ckptstore.Key{}, false
+	}
+	chain, ok := r.chainOf(st)
+	return ckptstore.Key{Chain: chain, Part: key.Index}, ok
+}
+
+// loadCheckpoint fires the next checkpoint bit-flip fault (faults.CkptFlip,
+// counted by load ordinal) on the run's record for sk, then reads the
+// record back. A non-nil error is a miss.
+func (r *Run) loadCheckpoint(sk ckptstore.Key) error {
+	off, ok := r.ckptOffsets[sk]
+	if !ok {
+		off = -1
+	}
+	if r.injector != nil {
+		if bit, flip := r.injector.NextCkptLoad(); flip {
+			_ = r.opts.Ckpts.CorruptEntry(off, bit) //lint:allow droppederr -- injected corruption; a failed flip leaves a record that still verifies
+		}
+	}
+	_, err := r.opts.Ckpts.Get(sk, off)
+	return err
+}
+
+// decideMiss records a checkpoint miss in the decision log.
+func (r *Run) decideMiss(sk ckptstore.Key, err error) {
+	r.decide(obs.Decision{
+		T: r.now, Node: obs.NodeMaster, Component: "faults", Kind: "ckptmiss",
+		Subject: sk.String(), Detail: err.Error(),
+	})
+}
+
+// distrustCorrupt verifies the checkpoint records backing the allocator's
+// surviving durable copies after a crash of node. Copies whose records
+// are missing or fail verification are demoted and returned as lost,
+// joining the lineage re-derivation pass.
 func (r *Run) distrustCorrupt(alloc *memorymgr.Allocator) []memorymgr.Lost {
 	if r.opts.Ckpts == nil {
 		return nil
@@ -89,27 +120,14 @@ func (r *Run) distrustCorrupt(alloc *memorymgr.Allocator) []memorymgr.Lost {
 		if !alloc.Checkpointed(key) {
 			continue
 		}
-		st := r.stageOfDataset(key.Dataset)
-		if st == nil {
-			continue
-		}
-		chain, ok := r.chainOf(st)
+		sk, ok := r.storeKey(key)
 		if !ok {
 			continue
 		}
-		sk := ckptstore.Key{Chain: chain, Part: key.Index}
-		if r.injector != nil {
-			if bit, flip := r.injector.NextCkptLoad(); flip {
-				_ = r.opts.Ckpts.CorruptEntry(sk, bit) //lint:allow droppederr -- injected corruption; a missing entry is just a miss
-			}
-		}
-		if _, err := r.opts.Ckpts.Get(sk); err != nil {
+		if err := r.loadCheckpoint(sk); err != nil {
 			if l, ok := alloc.DropDurable(key); ok {
 				lost = append(lost, l)
-				r.decide(obs.Decision{
-					T: r.now, Node: obs.NodeMaster, Component: "faults", Kind: "ckptmiss",
-					Subject: sk.String(), Detail: err.Error(),
-				})
+				r.decideMiss(sk, err)
 			}
 		}
 	}
@@ -117,36 +135,22 @@ func (r *Run) distrustCorrupt(alloc *memorymgr.Allocator) []memorymgr.Lost {
 }
 
 // verifyEvacuated splits a permanently dead node's checkpointed
-// partitions into those whose store entries verify (rebalanced onto
-// survivors) and those that do not (re-derived by lineage). Without a
-// store every copy is trusted, as before.
+// partitions into those whose records verify (rebalanced onto survivors)
+// and those that do not (re-derived by lineage). Without a store every
+// copy is trusted, as before.
 func (r *Run) verifyEvacuated(checkpointed []memorymgr.Lost) (ok, corrupt []memorymgr.Lost) {
 	if r.opts.Ckpts == nil {
 		return checkpointed, nil
 	}
 	for _, l := range checkpointed {
-		st := r.stageOfDataset(l.Key.Dataset)
-		var chain spec.Hash
-		mapped := false
-		if st != nil {
-			chain, mapped = r.chainOf(st)
-		}
+		sk, mapped := r.storeKey(l.Key)
 		if !mapped {
 			ok = append(ok, l)
 			continue
 		}
-		sk := ckptstore.Key{Chain: chain, Part: l.Key.Index}
-		if r.injector != nil {
-			if bit, flip := r.injector.NextCkptLoad(); flip {
-				_ = r.opts.Ckpts.CorruptEntry(sk, bit) //lint:allow droppederr -- injected corruption; a missing entry is just a miss
-			}
-		}
-		if _, err := r.opts.Ckpts.Get(sk); err != nil {
+		if err := r.loadCheckpoint(sk); err != nil {
 			corrupt = append(corrupt, l)
-			r.decide(obs.Decision{
-				T: r.now, Node: obs.NodeMaster, Component: "faults", Kind: "ckptmiss",
-				Subject: sk.String(), Detail: err.Error(),
-			})
+			r.decideMiss(sk, err)
 			continue
 		}
 		ok = append(ok, l)

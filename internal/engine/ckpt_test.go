@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -72,31 +73,50 @@ func runWithStore(t *testing.T, store *ckptstore.Store, fp *faults.Plan) *engine
 
 func openTestStore(t *testing.T) *ckptstore.Store {
 	t.Helper()
-	store := ckptstore.New(filepath.Join(t.TempDir(), "ckpt"))
+	store, _ := openTestStoreAt(t)
+	return store
+}
+
+// openTestStoreAt opens a store in a fresh directory and also returns the
+// path of its log file.
+func openTestStoreAt(t *testing.T) (*ckptstore.Store, string) {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	store := ckptstore.New(dir)
 	if err := store.Open(); err != nil {
 		t.Fatalf("store open: %v", err)
 	}
 	t.Cleanup(func() { store.Close() })
-	return store
+	return store, filepath.Join(dir, "log")
 }
 
-// TestMirrorWritesContentAddressedEntries checks that anticipatory
-// checkpoints land in the store under spec chain keys, and that two runs
-// of the same spec share every entry (content addressing).
+// logSize returns the size of the log file in records.
+func logSize(t *testing.T, path string) int64 {
+	t.Helper()
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Size()%ckptstore.RecordLen != 0 {
+		t.Fatalf("log of %d bytes is not whole %d-byte records", info.Size(), ckptstore.RecordLen)
+	}
+	return info.Size() / ckptstore.RecordLen
+}
+
+// TestMirrorWritesContentAddressedEntries checks that every anticipatory
+// checkpoint appends one record to the log under a spec chain key, and
+// that two runs of the same spec append records for exactly the same key
+// set (content addressing).
 func TestMirrorWritesContentAddressedEntries(t *testing.T) {
-	store := openTestStore(t)
-	runWithStore(t, store, &faults.Plan{})
+	store, path := openTestStoreAt(t)
+	res := runWithStore(t, store, &faults.Plan{})
+	recs := logSize(t, path)
+	if recs == 0 || recs != res.Metrics.Mem.Checkpoints {
+		t.Fatalf("%d records for %d checkpoints", recs, res.Metrics.Mem.Checkpoints)
+	}
 	keys, err := store.Keys()
 	if err != nil {
 		t.Fatalf("Keys: %v", err)
-	}
-	if len(keys) == 0 {
-		t.Fatal("no checkpoint entries mirrored")
-	}
-	for _, k := range keys {
-		if !store.Has(k) {
-			t.Fatalf("entry %s does not verify", k)
-		}
 	}
 	// A second run of the same spec must re-key the exact same entries.
 	runWithStore(t, store, &faults.Plan{})
@@ -106,6 +126,26 @@ func TestMirrorWritesContentAddressedEntries(t *testing.T) {
 	}
 	if len(again) != len(keys) {
 		t.Fatalf("entry set changed across identical runs: %d then %d", len(keys), len(again))
+	}
+	if n := logSize(t, path); n != 2*recs {
+		t.Fatalf("second run appended %d records, first %d", n-recs, recs)
+	}
+}
+
+// TestIntactLogVerifiesEveryCopy checks that the run's own records verify:
+// with an undamaged log, crash recovery trusts exactly the durable copies
+// a run without a store trusts.
+func TestIntactLogVerifiesEveryCopy(t *testing.T) {
+	for _, crash := range []faults.Crash{{Node: 0, AfterStages: 2}, {Node: 1, AfterStages: 2, Permanent: true}} {
+		plan := &faults.Plan{Crashes: []faults.Crash{crash}}
+		bare := runWithStore(t, nil, plan)
+		logged := runWithStore(t, openTestStore(t), plan)
+		if bare.Metrics.PartitionsRederived != logged.Metrics.PartitionsRederived ||
+			bare.Metrics.PartitionsRebalanced != logged.Metrics.PartitionsRebalanced {
+			t.Fatalf("crash %+v: with a log %d re-derived, %d rebalanced; without %d, %d", crash,
+				logged.Metrics.PartitionsRederived, logged.Metrics.PartitionsRebalanced,
+				bare.Metrics.PartitionsRederived, bare.Metrics.PartitionsRebalanced)
+		}
 	}
 }
 

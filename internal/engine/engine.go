@@ -72,16 +72,16 @@ type Options struct {
 	// background disk writes that overlap compute and cut the lineage
 	// re-derivation cost of later failures. Implied by Faults.
 	Checkpoint bool
-	// Ckpts, when non-nil, mirrors every durable checkpoint into a
-	// content-addressed store on disk (internal/ckptstore) and verifies
-	// entries before trusting them during crash recovery: a missing or
-	// corrupt entry demotes the durable copy and the partition is
-	// re-derived by lineage. The simulation's checkpoint cost model is
-	// unchanged; the store adds restart durability on top.
+	// Ckpts, when non-nil, appends a record for every durable checkpoint
+	// to a checkpoint log on disk (internal/ckptstore) and verifies the
+	// run's own record before trusting a durable copy during crash
+	// recovery: a missing or corrupt record demotes the copy and the
+	// partition is re-derived by lineage. The simulation's checkpoint cost
+	// model is unchanged.
 	Ckpts *ckptstore.Store
 	// CkptChains maps operator IDs (graph creation order) to their spec
 	// chain-prefix hashes, from spec.HashReport().OpChains. Required for
-	// Ckpts to key entries; stages without a mapping are not mirrored.
+	// Ckpts to key records; stages without a mapping are not mirrored.
 	CkptChains []spec.Hash
 	// Context, when non-nil, cancels the run between stages: the next Step
 	// after the context is done fails the run with an error wrapping the
@@ -259,6 +259,10 @@ type Run struct {
 	// placement overrides the default partition-to-node mapping (index mod
 	// workers) for partitions rebalanced or re-derived after failures.
 	placement map[dataset.PartKey]int
+	// ckptOffsets holds the checkpoint-log offset of every partition this
+	// run mirrored into opts.Ckpts (ckpt.go); allocated on first mirror and
+	// released when the run finishes.
+	ckptOffsets map[ckptstore.Key]int64
 
 	// probe is the telemetry sink (Options.Probe); nil disables telemetry.
 	probe obs.Probe
@@ -608,6 +612,7 @@ func Execute(g *graph.Graph, opts Options) (*Result, error) {
 
 func (r *Run) finish() {
 	r.done = true
+	r.ckptOffsets = nil
 	// The output is the dataset of the sink stage(s); with several sinks,
 	// their outputs are concatenated.
 	var outs []*dataset.Dataset
@@ -735,7 +740,13 @@ func (r *Run) registerOutput(st *graph.Stage, d *dataset.Dataset) {
 		// it by lineage.
 		for i := range d.Parts {
 			key := d.Key(i)
-			r.allocs[r.nodeOf(key, i)].Checkpoint(key, r.now)
+			a := r.allocs[r.nodeOf(key, i)]
+			if !a.Known(key) || a.Checkpointed(key) {
+				// Nothing to copy, or a forwarding stage re-registering
+				// its producer's already durable dataset.
+				continue
+			}
+			a.Checkpoint(key, r.now)
 			r.mirrorCheckpoint(st, d, i)
 		}
 	}

@@ -15,16 +15,16 @@ import (
 
 // This file is the service's crash-recovery path. A durable server
 // (Config.StateDir set, built with Open) write-ahead-journals every job
-// lifecycle transition (internal/journal) and mirrors engine checkpoints
-// into a content-addressed store (internal/ckptstore). On boot, Open
+// lifecycle transition (internal/journal) and appends a record for every
+// engine checkpoint to a log (internal/ckptstore). On boot, Open
 // replays the journal's valid prefix and rebuilds admission state:
 //
 //   - terminal jobs are restored verbatim — final state, counters,
 //     metrics snapshot, audit surface — and their quota stays released;
 //   - incomplete jobs re-reserve their tenant quota and requeue at
 //     attempt zero in admitted order: deterministic re-execution from the
-//     journaled spec and fault plan IS the recovery mechanism, and the
-//     engine resumes from whichever checkpoint-store entries verify;
+//     journaled spec and fault plan IS the recovery mechanism; the
+//     re-run writes fresh checkpoint records and reads no earlier ones;
 //   - a dedup index maps (tenant, spec content hash) to recovered job
 //     IDs, so clients that blindly re-submit their jobs after a crash get
 //     the recovered job back instead of a duplicate admission.

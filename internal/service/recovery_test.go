@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"metadataflow/internal/ckptstore"
 	"metadataflow/internal/journal"
 	"metadataflow/internal/memorymgr"
 	"metadataflow/internal/sim"
@@ -297,5 +301,39 @@ func TestMemoryOnlyServerUnchanged(t *testing.T) {
 	}
 	if !bytes.Contains(buf.Bytes(), []byte("service.jobs_done")) {
 		t.Fatal("metrics missing service counters")
+	}
+}
+
+// TestDurableCheckpointsShareOneLog pins the checkpoint log's on-disk
+// shape: however many durable jobs run, StateDir/ckpt holds one file,
+// which grows by one fixed-size record per checkpoint.
+func TestDurableCheckpointsShareOneLog(t *testing.T) {
+	cfg := Config{StateDir: t.TempDir(), JournalNoSync: true}
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i, sp := range []string{okSpec, otherSpec, okSpec, otherSpec, okSpec} {
+		submitOK(t, s, fmt.Sprintf("t%d", i), sp, "")
+	}
+	s.WaitIdle()
+	ents, err := os.ReadDir(filepath.Join(cfg.StateDir, "ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 || ents[0].Name() != "log" {
+		t.Fatalf("StateDir/ckpt holds %v, want only the log", ents)
+	}
+	info, err := ents[0].Info()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpts, _ := s.Metrics().CounterValue("mem.checkpoints")
+	if ckpts == 0 {
+		t.Fatal("jobs took no checkpoints")
+	}
+	if want := ckpts * ckptstore.RecordLen; info.Size() != want {
+		t.Fatalf("log holds %d bytes after %d checkpoints, want %d", info.Size(), ckpts, want)
 	}
 }

@@ -80,8 +80,9 @@ type Config struct {
 	DisableVet bool
 	// StateDir, when non-empty, makes the service crash-consistent: a
 	// write-ahead journal of job lifecycle records under StateDir/journal
-	// and a content-addressed durable checkpoint store under
-	// StateDir/ckpt. Open replays the journal on boot — re-reserving
+	// and the checkpoint log under StateDir/ckpt (internal/ckptstore),
+	// which running jobs verify their durable copies against during crash
+	// recovery. Open replays the journal on boot — re-reserving
 	// tenant quotas, restoring terminal jobs verbatim, and re-admitting
 	// incomplete jobs idempotently (recovery.go). New ignores this field;
 	// use Open.
@@ -350,7 +351,7 @@ type Server struct {
 	eventSeq int64
 
 	// Durability: jnl is the write-ahead lifecycle journal and ckpts the
-	// content-addressed checkpoint store, both nil on memory-only
+	// checkpoint log, both nil on memory-only
 	// servers. recovered maps tenant+specHash to the FIFO of recovered
 	// job IDs that Submit dedups against after a restart; rctr counts
 	// recovery events for /metrics (recovery.go).
@@ -723,9 +724,10 @@ func (s *Server) startLocked(j *job) error {
 		Faults:  j.fplan,
 		Context: ctx,
 		Probe:   rec,
-		// Durable servers mirror every checkpoint into the shared store,
-		// keyed by spec chain hashes, so restarts and same-spec jobs
-		// resume from verified on-disk copies.
+		// Durable servers append a record for every checkpoint to the
+		// shared log and verify the run's own records before a crash
+		// recovery trusts a durable copy. Nothing is read across runs:
+		// restarts re-execute jobs from the journal.
 		Checkpoint: s.ckpts != nil,
 		Ckpts:      s.ckpts,
 		CkptChains: j.chains,

@@ -1,6 +1,7 @@
 package dnn_test
 
 import (
+	"sync"
 	"testing"
 
 	"metadataflow/internal/baseline"
@@ -280,5 +281,37 @@ func TestIterativeParamsValidation(t *testing.T) {
 	p.DivergenceFactor = 1
 	if _, err := dnn.BuildIterativeMDF(p); err == nil {
 		t.Error("divergence factor 1 accepted")
+	}
+}
+
+// TestConcurrentBuildsShareTrainSet builds the same MDF from several
+// goroutines at once: the shared training-set memo must be safe under
+// the race detector, and every build must see the same graph shape.
+func TestConcurrentBuildsShareTrainSet(t *testing.T) {
+	p := smallParams()
+	p.Seed = 99 // a parameterisation no other test has memoised yet
+	const builders = 4
+	ops := make([]int, builders)
+	errs := make([]error, builders)
+	var wg sync.WaitGroup
+	for i := 0; i < builders; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			g, err := dnn.BuildExhaustiveMDF(p)
+			if err == nil {
+				ops[i] = len(g.Ops())
+			}
+			errs[i] = err
+		}(i)
+	}
+	wg.Wait()
+	for i := range ops {
+		if errs[i] != nil {
+			t.Fatalf("build %d: %v", i, errs[i])
+		}
+		if ops[i] != ops[0] {
+			t.Fatalf("build %d has %d ops, build 0 has %d", i, ops[i], ops[0])
+		}
 	}
 }

@@ -2,6 +2,7 @@ package dnn
 
 import (
 	"fmt"
+	"sync"
 
 	"metadataflow/internal/dataset"
 	"metadataflow/internal/graph"
@@ -186,11 +187,17 @@ type trainSetKey struct {
 }
 
 // trainSetCache memoises the example set per parameterisation so
-// continued-training branches and evaluators reuse it.
-var trainSetCache = map[trainSetKey][]Example{}
+// continued-training branches and evaluators reuse it. trainSetMu guards
+// it: concurrent runs may build DNN jobs at the same time.
+var (
+	trainSetMu    sync.Mutex
+	trainSetCache = map[trainSetKey][]Example{}
+)
 
 func trainSetOf(p Params) []Example {
 	key := trainSetKey{p.Seed, p.Train, p.Val, p.Dims, p.Classes, p.Noise}
+	trainSetMu.Lock()
+	defer trainSetMu.Unlock()
 	if ex, ok := trainSetCache[key]; ok {
 		return ex
 	}
